@@ -39,8 +39,8 @@ USAGE:
     dca serve   [--listen ADDR] [--http-addr ADDR] [--jobs K]
                 [--store-dir DIR | --no-store] [--lock-wait-secs N]
                 [--stale-secs N]
-    dca client  [--addr ADDR] [--http] (--figure ID [-- OPTS...] |
-                --ping | --stats | --shutdown) [--out FILE] [--json]
+    dca client  [--addr ADDR] (--figure ID [-- OPTS...] | --ping |
+                --stats | --shutdown) [--out FILE] [--json]
                 [--json-out FILE]
 
 Observability (run, figures, store): --verbose prints per-step detail,
@@ -79,20 +79,20 @@ dead-owner locks (--repair also deletes damaged shards).
 lock before degrading to in-memory compute; --stale-secs N is the
 shared staleness threshold for lock takeover and temp sweeps.
 
-`dca serve` runs the harness as a daemon on a Unix socket (default
-.dca-serve.sock) or host:port. Clients (`dca client`) request figures
-over a framed, checksummed protocol; identical in-flight requests are
-deduplicated onto one computation, scheduling is round-robin across
-clients, progress streams per sampling round, and results already in
-the store are served warm with zero recompute. --http-addr ADDR adds
-an HTTP/1.1 front over the same core (POST /v1/figures, job polling,
-chunked progress streams, Prometheus /v1/metrics); dedup and fairness
-span both transports. --jobs K runs up to K jobs concurrently on one
-shared worker budget, keeping per-job accounting exact. `dca client
---figure ID -- --scale paper ...` forwards everything after `--` as
-harness options; --http speaks to the HTTP front instead of the
-framed protocol, --json prints the serving summary as JSON on stdout;
---ping, --stats and --shutdown probe and manage the daemon.
+`dca serve` runs the harness as an HTTP/1.1 daemon on --listen ADDR,
+a Unix socket path (default .dca-serve.sock) or host:port;
+--http-addr ADDR binds a second listener (typically TCP) serving the
+same API (POST /v1/figures, job polling, chunked progress streams,
+DELETE to cancel, Prometheus /v1/metrics). Identical in-flight
+requests are deduplicated onto one computation whichever listener
+they arrive on, scheduling is round-robin across clients, progress
+streams per sampling round, and results already in the store are
+served warm with zero recompute. --jobs K runs up to K jobs
+concurrently on one shared worker budget, keeping per-job accounting
+exact. `dca client --addr ADDR --figure ID -- --scale paper ...`
+forwards everything after `--` as harness options; --json prints the
+serving summary as JSON on stdout; --ping, --stats and --shutdown
+probe and manage the daemon.
 
 Machines: base | clustered | one-bus | ub | homo<N> | hetero4
 `--clusters N` simulates N copies of the paper's cluster (shorthand for

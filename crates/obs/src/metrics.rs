@@ -217,16 +217,8 @@ registry! {
         serve_dedup_hits_total,
         /// Results broadcast to serve clients.
         serve_results_total,
-        /// Frames rejected by the serve protocol (bad magic, oversized
-        /// length prefix, checksum mismatch, truncated mid-frame).
-        serve_rejected_frames_total,
-        /// Jobs cancelled after their last subscriber disconnected.
+        /// Serve jobs cancelled (`DELETE /v1/jobs/<id>` or shutdown).
         serve_cancelled_jobs_total,
-        /// Payload bytes received from serve clients.
-        serve_bytes_in_total,
-        /// Payload bytes sent to serve clients (summed over clients;
-        /// the per-client split is reported on disconnect).
-        serve_bytes_out_total,
         /// HTTP requests accepted by the serve HTTP front (all
         /// endpoints, before routing).
         serve_http_requests_total,

@@ -1,17 +1,16 @@
 //! The request side: `dca client`.
 //!
-//! One request, a stream of progress events, one result — over either
-//! transport: the framed protocol (default) or, with `--http`, the
-//! HTTP/1.1 front (submit → follow the chunked progress stream →
-//! fetch the result). Both paths deliver the *same bytes*: the
-//! report is [`Figure::document`]-rendered markdown, identical to
+//! One request, a stream of progress events, one result, over HTTP to
+//! either daemon listener (a Unix socket path or `host:port`): submit
+//! → follow the chunked progress stream → fetch the result. The
+//! report is [`Figure::document`]-rendered markdown, byte-identical to
 //! what offline `dca figures` saves.
 //!
 //! The report goes to stdout (or `--out FILE`). The serving summary —
 //! job id, canonical key, dedup/warm flags, per-job work deltas,
 //! wall-clock — is structured JSON: `--json` prints it to stdout
 //! (instead of the report), `--json-out FILE` writes it to a file.
-//! `scripts/bench_serve.sh` and `bench_serve_http.sh` assert on it.
+//! `scripts/bench_serve.sh` asserts on it.
 //!
 //! [`Figure::document`]: dca_bench::figures::Figure::document
 
@@ -22,8 +21,7 @@ use dca_obs::progress;
 
 use crate::http::{write_request, HttpReader};
 use crate::net::{self, Conn};
-use crate::proto::{self, FigureRequest};
-use crate::wire::{self, FrameKind};
+use crate::proto::FigureRequest;
 
 /// What one `dca client` invocation asks of the server.
 #[derive(Clone, Debug)]
@@ -35,7 +33,7 @@ pub enum Mode {
         /// `RunOpts::from_args`-grammar options forwarded verbatim.
         args: Vec<String>,
     },
-    /// Liveness probe (and protocol version negotiation).
+    /// Liveness probe (reports the protocol version).
     Ping,
     /// Fetch server counters.
     Stats,
@@ -48,9 +46,6 @@ pub enum Mode {
 pub struct ClientOpts {
     /// Server address (Unix socket path or `host:port`).
     pub addr: String,
-    /// Speak HTTP to the server's `--http-addr` front instead of the
-    /// framed protocol.
-    pub http: bool,
     /// The request.
     pub mode: Mode,
     /// Write the report here instead of stdout.
@@ -62,75 +57,6 @@ pub struct ClientOpts {
     pub json_out: Option<PathBuf>,
     /// Suppress progress lines.
     pub quiet: bool,
-}
-
-/// Runs one request against a serve daemon.
-pub fn run_client(opts: &ClientOpts) -> Result<(), String> {
-    if opts.http {
-        run_http(opts)
-    } else {
-        run_frame(opts)
-    }
-}
-
-fn run_frame(opts: &ClientOpts) -> Result<(), String> {
-    let mut conn =
-        net::connect(&opts.addr).map_err(|e| format!("connect {}: {e}", opts.addr))?;
-    let (kind, payload): (FrameKind, Vec<u8>) = match &opts.mode {
-        Mode::Figure { figure, args } => (
-            FrameKind::ReqFigure,
-            FigureRequest::render_payload(figure, args),
-        ),
-        Mode::Ping => (
-            FrameKind::ReqPing,
-            format!("{{\"proto\": {}}}", proto::PROTO_VERSION).into_bytes(),
-        ),
-        Mode::Stats => (FrameKind::ReqStats, Vec::new()),
-        Mode::Shutdown => (FrameKind::ReqShutdown, Vec::new()),
-    };
-    wire::write_frame(&mut conn, kind, &payload).map_err(|e| format!("send: {e}"))?;
-    loop {
-        let (kind, payload) = wire::read_frame(&mut conn).map_err(|e| e.to_string())?;
-        let text = || String::from_utf8_lossy(&payload).into_owned();
-        match FrameKind::from_byte(kind) {
-            Some(FrameKind::EvPong) => {
-                println!("{}", text());
-                return Ok(());
-            }
-            Some(FrameKind::EvStats) => {
-                let doc = json::parse(&text())?;
-                println!("{}", doc.render_pretty());
-                return Ok(());
-            }
-            Some(FrameKind::EvError) => {
-                let doc = json::parse(&text()).unwrap_or(Json::Null);
-                let msg = doc
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_else(text);
-                return Err(format!("server: {msg}"));
-            }
-            Some(FrameKind::EvProgress) => {
-                print_progress(opts, &json::parse(&text()).unwrap_or(Json::Null));
-            }
-            Some(FrameKind::EvResult) => {
-                let doc = json::parse(&text())?;
-                let title = doc.get("title").and_then(Json::as_str).unwrap_or_default();
-                let body = doc.get("body").and_then(Json::as_str).unwrap_or_default();
-                let document = format!("# {title}\n\n{body}");
-                let summary: Vec<(String, Json)> = doc
-                    .as_object()
-                    .unwrap_or_default()
-                    .iter()
-                    .filter(|(k, _)| k != "body")
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                return deliver_result(opts, &Json::Obj(summary), &document);
-            }
-            _ => return Err(format!("unexpected frame kind 0x{kind:02x} from server")),
-        }
-    }
 }
 
 /// One HTTP exchange on a fresh or kept-alive connection.
@@ -145,7 +71,10 @@ fn http_round(
     reader.read_response().map_err(|e| e.to_string())
 }
 
-fn http_connect(addr: &str) -> Result<(Box<dyn Conn>, HttpReader<Box<dyn Conn>>), String> {
+/// A connection plus a buffered reader over a clone of it.
+type Connection = (Box<dyn Conn>, HttpReader<Box<dyn Conn>>);
+
+fn http_connect(addr: &str) -> Result<Connection, String> {
     let conn = net::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let rd = conn
         .try_clone_conn()
@@ -153,7 +82,8 @@ fn http_connect(addr: &str) -> Result<(Box<dyn Conn>, HttpReader<Box<dyn Conn>>)
     Ok((conn, HttpReader::new(rd)))
 }
 
-fn run_http(opts: &ClientOpts) -> Result<(), String> {
+/// Runs one request against a serve daemon.
+pub fn run_client(opts: &ClientOpts) -> Result<(), String> {
     let (mut conn, mut reader) = http_connect(&opts.addr)?;
     match &opts.mode {
         Mode::Ping => {
@@ -216,8 +146,8 @@ fn run_http(opts: &ClientOpts) -> Result<(), String> {
                 }
                 other => other,
             };
-            // The report itself: byte-identical to frame `--out` and
-            // offline `dca figures` output.
+            // The report itself: byte-identical to offline
+            // `dca figures` output.
             let resp = http_round(
                 &mut conn,
                 &mut reader,

@@ -1,14 +1,14 @@
 //! The HTTP/1.1 front: a hand-rolled, totality-swept parser and a
 //! poll-style REST surface over the core [`Service`] (DESIGN.md §14).
+//! Every `dca serve` listener speaks it.
 //!
-//! Like the frame codec in `wire.rs`, the parser is written to be
-//! *total*: every byte sequence a peer can send — truncations, split
-//! CRLFs, oversized heads and bodies, absurd Content-Lengths,
-//! pipelined garbage, mid-body disconnects — lands in a named
-//! [`HttpError`], never a panic, and poisons only its own connection
-//! (`tests/http.rs` sweeps this with a concurrent canary session).
-//! No dependency is added: ~300 lines of HTTP/1.1 is the same trade
-//! the frame protocol already made.
+//! The parser is written to be *total*: every byte sequence a peer
+//! can send — truncations, byte flips, split CRLFs, oversized heads
+//! and bodies, absurd Content-Lengths, pipelined garbage, mid-body
+//! disconnects — lands in a named [`HttpError`], never a panic, and
+//! poisons only its own connection (`tests/http.rs` sweeps this with
+//! a concurrent canary session). No dependency is added: ~300 lines
+//! of HTTP/1.1 keep the daemon dependency-free.
 //!
 //! ## Endpoints (all under `/v1`)
 //!
@@ -20,21 +20,19 @@
 //! | `GET /v1/jobs/<id>/result`| `200` report markdown, `202` while pending  |
 //! | `DELETE /v1/jobs/<id>`    | `200` cancel, `404` unknown/finished        |
 //! | `GET /v1/metrics`         | `200` Prometheus text exposition            |
-//! | `GET /v1/stats`           | `200` the stats JSON the frame front sends  |
-//! | `GET /v1/ping`            | `200` version-negotiation pong              |
+//! | `GET /v1/stats`           | `200` serve counters as JSON                |
+//! | `GET /v1/ping`            | `200` the protocol version                  |
 //! | `POST /v1/shutdown`       | `200`, then the daemon drains and exits     |
 //!
 //! The result body is [`dca_bench::figures::Figure::document`] —
-//! byte-identical to what the frame client writes with `--out` and
-//! what offline `dca figures` saves, which is what makes the three
-//! paths interchangeable (asserted end to end by
-//! `scripts/bench_serve_http.sh`).
+//! byte-identical to what `dca client --out` writes and what offline
+//! `dca figures` saves (asserted end to end by
+//! `scripts/bench_serve.sh`).
 //!
-//! HTTP submissions are *detached* jobs: they run even though no
-//! connection is subscribed, and their outcome is retained (bounded)
-//! for polling. Everything else — dedup against frame-submitted jobs,
-//! fairness, K-way dispatch — is the core's business; this file only
-//! translates.
+//! Submitted jobs run whether or not a connection follows them, and
+//! their outcome is retained (bounded) for polling. Everything else —
+//! dedup, fairness, K-way dispatch — is the core's business; this
+//! file only translates.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -47,7 +45,7 @@ use crate::service::{Event, JobStatus, Service};
 
 /// Cap on the request/response head (request line + headers).
 pub const MAX_HEAD: usize = 16 * 1024;
-/// Cap on bodies, matching the frame protocol's `MAX_PAYLOAD`.
+/// Cap on bodies (8 MiB).
 pub const MAX_BODY: u64 = 8 * 1024 * 1024;
 /// Cap on header count (far above any legitimate client).
 const MAX_HEADERS: usize = 100;
@@ -549,8 +547,8 @@ enum Outcome {
 
 /// One HTTP connection: a keep-alive loop of request → route →
 /// response. `client_no` seeds the fairness key (`http/<n>`);
-/// `wake_addrs` are self-connected on shutdown so both accept loops
-/// observe the flag.
+/// `wake_addrs` are self-connected on shutdown so every accept loop
+/// observes the flag.
 pub(crate) fn http_session(
     service: &Arc<Service>,
     mut conn: Box<dyn Conn>,
@@ -675,7 +673,7 @@ fn route(
                     &proto::error_payload(None, &format!("bad job id {id:?}")), &[])?;
             }
             Ok(jid) if req.query().split('&').any(|kv| kv == "stream=1") => {
-                return stream_job(service, conn, jid, client_no);
+                return stream_job(service, conn, jid);
             }
             Ok(jid) => match service.job_status(jid) {
                 Some(status) => {
@@ -741,9 +739,7 @@ fn route(
             send(conn, keep, 200, "OK", "application/json", &proto::stats_payload(), &[])?;
         }
         ("GET", ["v1", "ping"]) => {
-            let probe = format!("{{\"proto\": {}}}", proto::PROTO_VERSION);
-            send(conn, keep, 200, "OK", "application/json",
-                &proto::pong_reply(probe.as_bytes()), &[])?;
+            send(conn, keep, 200, "OK", "application/json", &proto::ping_payload(), &[])?;
         }
         ("POST", ["v1", "shutdown"]) => {
             send(conn, keep, 200, "OK", "application/json",
@@ -762,16 +758,14 @@ fn route(
 
 /// Streams a job's progress as chunked ndjson: the current status
 /// first, then one line per sampling round, then the final result
-/// summary (without the body — that stays on `/result`). The
-/// subscription rides the same core event channel as frame clients.
+/// summary (without the body — that stays on `/result`).
 fn stream_job(
     service: &Arc<Service>,
     conn: &mut Box<dyn Conn>,
     jid: u64,
-    client_no: u64,
 ) -> io::Result<Outcome> {
     let m = dca_obs::metrics();
-    let (sess, rx) = service.open_session(&format!("http/{client_no}"));
+    let (sess, rx) = service.open_session();
     if !service.subscribe(&sess, jid) {
         service.close_session(&sess);
         let n = write_response(
@@ -811,16 +805,18 @@ fn stream_job(
                 }) if job == jid => {
                     line(proto::progress_payload(job, &figure, &round, queue_depth))?;
                 }
-                Ok(Event::Result { outcome, dedup, .. }) => {
-                    line(proto::result_payload(&outcome, dedup, false))?;
+                // A stream follows a job its POST already created or
+                // attached to, so its summary always reads as an attach.
+                Ok(Event::Result { outcome }) => {
+                    line(proto::result_payload(&outcome, true))?;
                     break;
                 }
                 Ok(Event::Error { job, message }) => {
-                    line(proto::error_payload(job, &message))?;
+                    line(proto::error_payload(Some(job), &message))?;
                     break;
                 }
                 Ok(Event::Shutdown) | Err(_) => break,
-                Ok(_) => continue,
+                Ok(Event::Progress { .. }) => continue,
             }
         }
         let n = finish_chunks(conn)?;
@@ -909,7 +905,7 @@ mod tests {
         ));
         // A head that never ends is refused at MAX_HEAD.
         let mut junk = b"GET /x HTTP/1.1\r\n".to_vec();
-        junk.extend(std::iter::repeat(b'a').take(MAX_HEAD + 64));
+        junk.extend(std::iter::repeat_n(b'a', MAX_HEAD + 64));
         assert!(matches!(read_one(&junk), Err(HttpError::OversizedHead)));
     }
 

@@ -1,26 +1,25 @@
 //! `dca-serve` — a long-lived simulation service (DESIGN.md §13–14).
 //!
-//! `dca serve` turns the experiment harness into a daemon. The crate
-//! is layered so transports and policy stay independent:
+//! `dca serve` turns the experiment harness into a daemon that speaks
+//! HTTP/1.1 on every listener (a Unix socket, TCP, or both). The crate
+//! is layered so the wire format and policy stay independent:
 //!
-//! - [`service`] — the transport-neutral core: `Request`/`Event`
-//!   types, canonical job keys, subscriber sets, fair scheduling,
-//!   K-way dispatch with per-options-key Lab exclusivity, bounded
-//!   retention of finished jobs.
-//! - [`frame`] over [`wire`] — the length-prefixed, checksummed
-//!   `DCASERV1` protocol, now one thin front over the core.
+//! - [`service`] — the core: job events, canonical job keys,
+//!   subscriber sets, fair scheduling, K-way dispatch with
+//!   per-options-key Lab exclusivity, bounded retention of finished
+//!   jobs.
 //! - [`http`] — a hand-rolled, totality-swept HTTP/1.1 front over the
-//!   *same* core: `POST /v1/figures`, job polling, chunked progress
-//!   streams, Prometheus `/v1/metrics`.
-//! - [`proto`] — the shared JSON payload codecs (`dca_obs::json`) and
-//!   the Ping-time protocol version negotiation.
+//!   core: `POST /v1/figures`, job polling, chunked progress streams,
+//!   cancellation, Prometheus `/v1/metrics`.
+//! - [`proto`] — the JSON payload codecs (`dca_obs::json`).
+//! - [`net`] and [`server`] — listeners over Unix and TCP sockets,
+//!   one accept loop each; [`client`] — `dca client`.
 //!
-//! The core gives every front the same guarantees:
+//! The core guarantees:
 //!
-//! - **deduplication across transports** — identical in-flight
-//!   requests coalesce onto one computation whether they arrived as
-//!   frames or HTTP POSTs, and every subscriber gets the
-//!   byte-identical report;
+//! - **deduplication** — identical in-flight requests coalesce onto
+//!   one computation whichever listener they arrived on, and every
+//!   client gets the byte-identical report;
 //! - **fair scheduling** — round-robin across clients, so a batch
 //!   client queueing many figures cannot starve an interactive one;
 //! - **progress streams** — per-sampling-round events carrying the
@@ -30,25 +29,23 @@
 //!   of yesterday's figure a pure read path, and the result event
 //!   says so (`warm: true`, `ff_insts: 0`).
 //!
-//! No dependencies are added: framing, HTTP, and JSON are all
-//! hand-rolled in the style of the store container (explicit error
-//! taxonomies, totality sweeps in the test suite).
+//! No dependencies are added: HTTP and JSON are hand-rolled in the
+//! style of the store container (explicit error taxonomies, totality
+//! sweeps in the test suite).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod frame;
 pub mod http;
 pub mod net;
 pub mod proto;
 pub mod server;
 pub mod service;
-pub mod wire;
 
 pub use client::{run_client, ClientOpts, Mode};
 pub use server::{serve, serve_with, Bound, ServeOpts};
-pub use service::{Event, Request, Service};
+pub use service::{Event, Service};
 
 /// `dca serve [--listen ADDR] [--http-addr ADDR] [--jobs K]
 /// [--store-dir DIR | --no-store] [--lock-wait-secs N]
@@ -80,7 +77,7 @@ pub fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     serve(opts)
 }
 
-/// `dca client [--addr ADDR] [--http] (--figure ID [-- ARGS..] |
+/// `dca client [--addr ADDR] (--figure ID [-- ARGS..] |
 /// --ping | --stats | --shutdown) [--out FILE] [--json]
 /// [--json-out FILE] [-q]`.
 pub fn cmd_client(args: Vec<String>) -> Result<(), String> {
@@ -96,7 +93,6 @@ pub fn cmd_client(args: Vec<String>) -> Result<(), String> {
         None => Vec::new(),
     };
     let addr = take(&mut args, "--addr")?.unwrap_or_else(|| ".dca-serve.sock".into());
-    let http = switch(&mut args, "--http");
     let out = take(&mut args, "--out")?.map(Into::into);
     let json = switch(&mut args, "--json");
     let json_out = take(&mut args, "--json-out")?.map(Into::into);
@@ -121,7 +117,6 @@ pub fn cmd_client(args: Vec<String>) -> Result<(), String> {
     obs.apply_observability();
     run_client(&ClientOpts {
         addr,
-        http,
         mode,
         out,
         json,

@@ -3,19 +3,16 @@
 //! Everything a front end needs to serve figure requests lives here,
 //! with no knowledge of sockets or codecs:
 //!
-//! - [`Request`] / [`Event`] — the abstract protocol. A front parses
-//!   its wire format into `Request`s and renders `Event`s back out;
-//!   the frame protocol and the HTTP front are both thin maps over
-//!   these types.
+//! - [`Event`] — what a job tells its followers: progress rounds,
+//!   the result, or the error that ended it. The HTTP front renders
+//!   them as a chunked ndjson stream.
 //! - [`Session`] — one event-stream subscriber: a channel the core
-//!   pushes [`Event`]s into, identified by an opaque *client key*
-//!   that the fair scheduler queues by. Frame connections and HTTP
-//!   streaming requests are sessions; HTTP polling is not (it reads
-//!   job state directly).
-//! - [`Service`] — the scheduler: canonical-key dedup across *all*
-//!   transports, per-client FIFO queues drained round-robin, K-way
-//!   dispatch with per-options-key exclusivity, cancellation, and a
-//!   bounded retention buffer of finished jobs for poll-style fronts.
+//!   pushes [`Event`]s into. HTTP streaming requests are sessions;
+//!   HTTP polling is not (it reads job state directly).
+//! - [`Service`] — the scheduler: canonical-key dedup, per-client
+//!   FIFO queues drained round-robin, K-way dispatch with
+//!   per-options-key exclusivity, cancellation, and a bounded
+//!   retention buffer of finished jobs for polling.
 //! - [`dispatcher`] — the execution loop, K instances of which run
 //!   concurrently against one shared Lab pool. Per-job work deltas
 //!   come from each Lab's own tally ([`Lab::work`]), so attribution
@@ -26,8 +23,7 @@
 //! Jobs are keyed by [`FigureRequest::canonical_key`]. A request
 //! whose key matches a queued or executing job *attaches* to that job
 //! instead of enqueueing a new one — one computation, N byte-identical
-//! results — wherever the requests came from: an HTTP POST and a
-//! frame request coalesce exactly like two frame requests.
+//! results — whichever listener the requests arrived on.
 //!
 //! ## K-way dispatch
 //!
@@ -43,13 +39,11 @@
 //!
 //! ## Cancellation and retention
 //!
-//! A session that disconnects is unsubscribed everywhere. A job with
-//! no subscribers left is dropped (queued) or has its cancel token
-//! set (executing) — unless it was submitted *detached* (HTTP POST),
-//! in which case it runs to completion and waits to be polled.
-//! Finished jobs are retained (bounded, FIFO eviction) so poll fronts
-//! can fetch status and result after the fact; [`Service::cancel_job`]
-//! cancels explicitly.
+//! Every job runs to completion whether or not anyone is following
+//! it: a stream session that disconnects is only unsubscribed.
+//! Finished jobs are retained (bounded, FIFO eviction) so clients can
+//! fetch status and result after the fact; [`Service::cancel_job`]
+//! (`DELETE /v1/jobs/<id>`) is the one way to cancel.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,31 +64,7 @@ pub type SessionId = u64;
 /// Finished jobs kept for poll-style fronts (FIFO eviction).
 const DONE_RETENTION: usize = 256;
 
-/// A transport-independent request, parsed by a front.
-pub enum Request {
-    /// Compute (or attach to) a figure.
-    Figure(FigureRequest),
-    /// Liveness probe carrying an opaque payload; answered with
-    /// [`Event::Pong`] (see [`proto::pong_reply`] for the version
-    /// negotiation).
-    Ping(Vec<u8>),
-    /// Server counters.
-    Stats,
-    /// Ask the daemon to shut down.
-    Shutdown,
-}
-
-/// What [`Service::handle`] tells the front about the session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Control {
-    /// Keep reading requests.
-    Continue,
-    /// The peer asked for shutdown: wind the session down, then call
-    /// [`Service::begin_shutdown`] (the ack event is already queued).
-    ShutdownRequested,
-}
-
-/// A transport-independent event, rendered by a front.
+/// An event on a job's stream, rendered by the HTTP front.
 #[derive(Clone)]
 pub enum Event {
     /// A sampling round is about to fan out on a subscribed job.
@@ -110,27 +80,16 @@ pub enum Event {
     },
     /// A subscribed job finished successfully.
     Result {
-        /// The finished job.
-        job: JobId,
         /// Its outcome (shared with the retention buffer).
         outcome: Arc<JobOutcome>,
-        /// Whether this subscriber attached to another request's
-        /// computation (a dedup hit) rather than originating it.
-        dedup: bool,
     },
-    /// A request failed (parse error) or a subscribed job was
-    /// cancelled.
+    /// A subscribed job was cancelled.
     Error {
-        /// The job, when the error concerns one.
-        job: Option<JobId>,
+        /// The cancelled job.
+        job: JobId,
         /// Human-readable reason.
         message: String,
     },
-    /// Reply to [`Request::Ping`].
-    Pong(Vec<u8>),
-    /// Reply to [`Request::Stats`]; the front renders the live
-    /// registry ([`proto::stats_payload`]).
-    Stats,
     /// The daemon is shutting down; the session's event stream ends
     /// here. Unblocks fronts parked in a channel receive.
     Shutdown,
@@ -174,22 +133,7 @@ pub enum JobStatus {
 pub struct Session {
     /// The session id.
     pub id: SessionId,
-    client: String,
     tx: Sender<Event>,
-}
-
-impl Session {
-    /// The opaque client key this session queues under.
-    pub fn client(&self) -> &str {
-        &self.client
-    }
-
-    /// Pushes an event straight onto this session's stream. Fronts
-    /// use it for transport-level errors (malformed frames, bad
-    /// request payloads) the core never sees.
-    pub fn push(&self, ev: Event) {
-        let _ = self.tx.send(ev);
-    }
 }
 
 /// What a dispatcher runs.
@@ -220,12 +164,10 @@ struct Job {
     /// The client key the job was queued under (fairness slot).
     client: String,
     req: FigureRequest,
-    /// Subscribers in attach order; the flag marks dedup attaches.
-    subs: Vec<(SessionId, Sender<Event>, bool)>,
+    /// Stream subscribers in attach order.
+    subs: Vec<(SessionId, Sender<Event>)>,
     cancel: Arc<AtomicBool>,
     executing: bool,
-    /// Detached jobs (HTTP submits) survive zero subscribers.
-    detached: bool,
     progress: Option<(RoundProgress, u64)>,
 }
 
@@ -313,48 +255,27 @@ impl Service {
         }
     }
 
-    /// Opens an event-stream session for `client` (an opaque fairness
-    /// key — connections from one logical client should share it).
-    /// Events for everything the session subscribes to arrive on the
-    /// returned receiver.
-    pub fn open_session(&self, client: &str) -> (Session, Receiver<Event>) {
+    /// Opens an event-stream session. Events for everything the
+    /// session subscribes to arrive on the returned receiver.
+    pub fn open_session(&self) -> (Session, Receiver<Event>) {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut st = self.state.lock().unwrap();
         st.next_session += 1;
         let id = st.next_session;
         st.sessions.insert(id, tx.clone());
         st.publish_gauges();
-        (
-            Session {
-                id,
-                client: client.to_string(),
-                tx,
-            },
-            rx,
-        )
+        (Session { id, tx }, rx)
     }
 
-    /// Closes a session: unsubscribes it from every job. Jobs left
-    /// with no subscribers are cancelled unless detached — queued
-    /// ones are dropped, executing ones get their cancel token set
-    /// (and are reaped by their dispatcher).
+    /// Closes a session: unsubscribes it from every job. The jobs
+    /// themselves run on; only [`Service::cancel_job`] cancels.
     pub fn close_session(&self, sess: &Session) {
         let mut st = self.state.lock().unwrap();
         st.sessions.remove(&sess.id);
         for job in st.jobs.values_mut() {
-            job.subs.retain(|(sid, _, _)| *sid != sess.id);
-        }
-        let doomed: Vec<JobId> = st
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.subs.is_empty() && !j.detached)
-            .map(|(&jid, _)| jid)
-            .collect();
-        for jid in doomed {
-            Self::abort_job(&mut st, jid, "cancelled");
+            job.subs.retain(|(sid, _)| *sid != sess.id);
         }
         st.publish_gauges();
-        self.cv.notify_all();
     }
 
     /// Cancels `jid` inside the lock: an executing job gets its token
@@ -371,9 +292,9 @@ impl Service {
         let client = job.client.clone();
         st.unqueue(jid, &client);
         dca_obs::metrics().serve_cancelled_jobs_total.inc();
-        for (_, tx, _) in &job.subs {
+        for (_, tx) in &job.subs {
             let _ = tx.send(Event::Error {
-                job: Some(jid),
+                job: jid,
                 message: reason.to_string(),
             });
         }
@@ -387,64 +308,17 @@ impl Service {
         }));
     }
 
-    /// Handles one abstract request on a session. Immediate replies
-    /// (pong, stats, errors) are pushed onto the session's event
-    /// stream; figure submissions reply later via job events.
-    pub fn handle(&self, sess: &Session, req: Request) -> Control {
-        match req {
-            Request::Figure(freq) => {
-                self.submit(sess, freq);
-                Control::Continue
-            }
-            Request::Ping(payload) => {
-                let _ = sess.tx.send(Event::Pong(proto::pong_reply(&payload)));
-                Control::Continue
-            }
-            Request::Stats => {
-                let _ = sess.tx.send(Event::Stats);
-                Control::Continue
-            }
-            Request::Shutdown => {
-                let _ = sess.tx.send(Event::Pong(b"shutting down".to_vec()));
-                Control::ShutdownRequested
-            }
-        }
-    }
-
-    /// Submits a figure request on a session; result/progress events
-    /// flow to the session's receiver.
-    pub fn submit(&self, sess: &Session, req: FigureRequest) -> SubmitOutcome {
-        self.submit_inner(&sess.client, Some((sess.id, sess.tx.clone())), false, req)
-    }
-
-    /// Submits a figure request with no subscriber (the HTTP POST
-    /// path). The job runs even though nobody is connected, and its
-    /// outcome is retained for polling. When the request dedups onto
-    /// an existing job, that job is marked detached too — it now has
-    /// a poller counting on its retention.
+    /// Submits a figure request under the fairness key `client` (the
+    /// HTTP POST path). The job runs whether or not anyone follows its
+    /// stream, and its outcome is retained for polling. A request
+    /// whose canonical key matches a queued or executing job attaches
+    /// to that job instead (a dedup hit).
     pub fn submit_detached(&self, client: &str, req: FigureRequest) -> SubmitOutcome {
-        self.submit_inner(client, None, true, req)
-    }
-
-    fn submit_inner(
-        &self,
-        client: &str,
-        sub: Option<(SessionId, Sender<Event>)>,
-        detached: bool,
-        req: FigureRequest,
-    ) -> SubmitOutcome {
         let key = req.canonical_key();
         let m = dca_obs::metrics();
         m.serve_requests_total.inc();
         let mut st = self.state.lock().unwrap();
         if let Some(&jid) = st.inflight.get(&key) {
-            let job = st.jobs.get_mut(&jid).expect("inflight points at a live job");
-            if let Some((sid, tx)) = sub {
-                job.subs.push((sid, tx, true));
-            }
-            if detached {
-                job.detached = true;
-            }
             m.serve_dedup_hits_total.inc();
             return SubmitOutcome {
                 job: jid,
@@ -462,10 +336,9 @@ impl Service {
                 okey,
                 client: client.to_string(),
                 req,
-                subs: sub.map(|(sid, tx)| vec![(sid, tx, false)]).unwrap_or_default(),
+                subs: Vec::new(),
                 cancel: Arc::new(AtomicBool::new(false)),
                 executing: false,
-                detached,
                 progress: None,
             },
         );
@@ -494,18 +367,16 @@ impl Service {
     pub fn subscribe(&self, sess: &Session, jid: JobId) -> bool {
         let mut st = self.state.lock().unwrap();
         if let Some(job) = st.jobs.get_mut(&jid) {
-            job.subs.push((sess.id, sess.tx.clone(), true));
+            job.subs.push((sess.id, sess.tx.clone()));
             return true;
         }
         if let Some(outcome) = st.done.get(&jid) {
             let ev = match &outcome.result {
                 Ok(_) => Event::Result {
-                    job: jid,
                     outcome: Arc::clone(outcome),
-                    dedup: true,
                 },
                 Err(e) => Event::Error {
-                    job: Some(jid),
+                    job: jid,
                     message: e.clone(),
                 },
             };
@@ -604,7 +475,7 @@ impl Service {
         let Some(job) = st.jobs.get_mut(&jid) else { return };
         job.progress = Some((*p, depth));
         let figure = job.req.figure.clone();
-        let subs: Vec<Sender<Event>> = job.subs.iter().map(|(_, tx, _)| tx.clone()).collect();
+        let subs: Vec<Sender<Event>> = job.subs.iter().map(|(_, tx)| tx.clone()).collect();
         drop(st);
         for tx in subs {
             let _ = tx.send(Event::Progress {
@@ -647,20 +518,18 @@ impl Service {
         match &outcome.result {
             Err(reason) => {
                 m.serve_cancelled_jobs_total.inc();
-                for (_, tx, _) in &job.subs {
+                for (_, tx) in &job.subs {
                     let _ = tx.send(Event::Error {
-                        job: Some(jid),
+                        job: jid,
                         message: reason.clone(),
                     });
                 }
             }
             Ok(_) => {
-                for (_, tx, dedup) in &job.subs {
+                for (_, tx) in &job.subs {
                     m.serve_results_total.inc();
                     let _ = tx.send(Event::Result {
-                        job: jid,
                         outcome: Arc::clone(&outcome),
-                        dedup: *dedup,
                     });
                 }
             }
@@ -783,53 +652,45 @@ mod tests {
         FigureRequest::parse(&FigureRequest::render_payload(figure, &args)).unwrap()
     }
 
-    /// Dedup at the Service layer, across submit styles: two session
-    /// submits of the same canonical request collapse onto one job,
-    /// and a detached (HTTP-style) submit of the same key attaches to
-    /// it too instead of spawning a third computation.
+    /// Dedup at the Service layer: submits of the same canonical
+    /// request from different clients collapse onto one job; a
+    /// different budget is a different job.
     #[test]
     fn identical_inflight_requests_share_one_job() {
         let svc = Service::new();
-        let (a, _rx_a) = svc.open_session("frame/1");
-        let (b, _rx_b) = svc.open_session("frame/2");
         let r = req("sampling", &["--scale", "smoke"]);
-        let s1 = svc.submit(&a, r.clone());
-        let s2 = svc.submit(&b, r.clone());
+        let s1 = svc.submit_detached("http/1", r.clone());
+        let s2 = svc.submit_detached("http/2", r.clone());
         assert_eq!(s1.job, s2.job, "same canonical request: same job");
         assert!(!s1.dedup && s2.dedup);
-        let s3 = svc.submit_detached("http/9", r);
-        assert_eq!(s3.job, s1.job, "cross-transport dedup: HTTP attaches too");
+        let s3 = svc.submit_detached("http/3", r);
+        assert_eq!(s3.job, s1.job);
         assert!(s3.dedup);
-        let s4 = svc.submit(&a, req("sampling", &["--scale", "default"]));
+        let s4 = svc.submit_detached("http/1", req("sampling", &["--scale", "default"]));
         assert_ne!(s4.job, s1.job);
         assert!(!s4.dedup);
         let st = svc.state.lock().unwrap();
-        assert_eq!(st.jobs[&s1.job].subs.len(), 2);
-        assert!(st.jobs[&s1.job].detached, "poller retention requested");
         assert_eq!(st.queue_depth(), 2, "two distinct jobs queued");
     }
 
-    /// Round-robin fairness across client keys — whatever transport
-    /// they arrived by: with client 1 queueing two jobs before
-    /// client 2's single job arrives, dispatch interleaves (1, 2, 1).
-    /// Distinct budgets keep the options keys distinct, so dispatch
-    /// order is pure fairness, not exclusivity.
+    /// Round-robin fairness across client keys: with client 1 queueing
+    /// two jobs before client 2's single job arrives, dispatch
+    /// interleaves (1, 2, 1). Distinct budgets keep the options keys
+    /// distinct, so dispatch order is pure fairness, not exclusivity.
     #[test]
     fn dispatch_interleaves_clients() {
         let svc = Service::new();
-        let (s1, _r1) = svc.open_session("frame/1");
         let a = svc
-            .submit(&s1, req("fig03", &["--scale", "smoke", "--max-insts", "60000"]))
+            .submit_detached("http/1", req("fig03", &["--scale", "smoke", "--max-insts", "60000"]))
             .job;
         let b = svc
-            .submit(&s1, req("fig04", &["--scale", "smoke", "--max-insts", "50000"]))
+            .submit_detached("http/1", req("fig04", &["--scale", "smoke", "--max-insts", "50000"]))
             .job;
-        let c = svc.submit_detached(
-            "http/2",
-            req("fig05", &["--scale", "smoke", "--max-insts", "40000"]),
-        );
+        let c = svc
+            .submit_detached("http/2", req("fig05", &["--scale", "smoke", "--max-insts", "40000"]))
+            .job;
         let order: Vec<JobId> = (0..3).map(|_| svc.next_job().unwrap().job).collect();
-        assert_eq!(order, vec![a, c.job, b], "second client is not starved");
+        assert_eq!(order, vec![a, c, b], "second client is not starved");
     }
 
     /// Two queued jobs that share an options key never execute
@@ -838,11 +699,9 @@ mod tests {
     #[test]
     fn same_options_key_is_exclusive() {
         let svc = Arc::new(Service::new());
-        let (s1, _r1) = svc.open_session("frame/1");
-        let (s2, _r2) = svc.open_session("frame/2");
         // Same opts → same okey; different figures → different jobs.
-        let a = svc.submit(&s1, req("fig03", &["--scale", "smoke"]));
-        let b = svc.submit(&s2, req("fig04", &["--scale", "smoke"]));
+        let a = svc.submit_detached("http/1", req("fig03", &["--scale", "smoke"]));
+        let b = svc.submit_detached("http/2", req("fig04", &["--scale", "smoke"]));
         assert_ne!(a.job, b.job);
         let first = svc.next_job().unwrap();
         assert_eq!(first.job, a.job);
@@ -872,76 +731,58 @@ mod tests {
         t.join().unwrap();
     }
 
-    /// Closing the originator's session keeps a queued job alive for
-    /// its surviving dedup subscriber; a job whose only subscriber
-    /// vanishes is cancelled — unless it was submitted detached.
+    /// A stream session that goes away is only unsubscribed: neither a
+    /// queued nor an executing job it followed is cancelled.
     #[test]
-    fn close_session_cancels_only_subscriberless_jobs() {
+    fn closing_a_stream_session_never_cancels() {
         let svc = Service::new();
-        let (s1, _r1) = svc.open_session("frame/1");
-        let (s2, _r2) = svc.open_session("frame/2");
-        let r = req("sampling", &["--scale", "smoke"]);
-        let shared = svc.submit(&s1, r.clone()).job;
-        let _ = svc.submit(&s2, r);
-        let solo = svc.submit(&s1, req("fig03", &["--scale", "smoke"])).job;
-        // A distinct budget keeps the detached job's options key clear
-        // of the shared job's, so both dispatch back to back below.
-        let detached = svc
-            .submit_detached(
-                "http/3",
-                req("fig04", &["--scale", "smoke", "--max-insts", "40000"]),
-            )
+        let executing = svc.submit_detached("http/1", req("fig03", &["--scale", "smoke"])).job;
+        let queued = svc
+            .submit_detached("http/2", req("fig04", &["--scale", "smoke", "--max-insts", "40000"]))
             .job;
-        let cancelled_before = dca_obs::metrics().serve_cancelled_jobs_total.get();
-        svc.close_session(&s1);
-        {
-            let st = svc.state.lock().unwrap();
-            assert!(st.jobs.contains_key(&shared), "survives via session 2");
-            assert!(!st.jobs.contains_key(&solo), "no subscribers left");
-            assert!(st.jobs.contains_key(&detached), "detached jobs poll-wait");
-        }
-        assert!(dca_obs::metrics().serve_cancelled_jobs_total.get() > cancelled_before);
-        // The cancelled job is visible to pollers as done+cancelled.
-        match svc.job_status(solo) {
-            Some(JobStatus::Done(o)) => assert!(o.result.is_err()),
-            _ => panic!("cancelled queued job should be retained as done"),
-        }
-        // Survivors are still dispatchable: the shared job keeps its
-        // queue slot under frame/1 even though that session is gone.
-        let order: Vec<JobId> = (0..2).map(|_| svc.next_job().unwrap().job).collect();
-        assert!(order.contains(&shared) && order.contains(&detached));
+        let d = svc.next_job().unwrap();
+        assert_eq!(d.job, executing);
+        let (sess, _rx) = svc.open_session();
+        assert!(svc.subscribe(&sess, executing) && svc.subscribe(&sess, queued));
+        svc.close_session(&sess);
+        assert!(!d.cancel.load(Ordering::Relaxed), "executing job keeps running");
+        let st = svc.state.lock().unwrap();
+        assert!(st.jobs.values().all(|j| j.subs.is_empty()), "unsubscribed everywhere");
+        assert!(st.queues["http/2"].contains(&queued), "queued job stays queued");
     }
 
-    /// An executing job whose last subscriber vanishes gets its
-    /// cancel token set rather than being dropped mid-flight; the
-    /// dispatcher reaps it via `finish_job(Err)` and pollers see the
+    /// Cancelling an executing job sets its token rather than dropping
+    /// it mid-flight; the dispatcher reaps it via `finish_job(Err)`,
+    /// its stream subscribers get the error, and pollers see the
     /// cancellation.
     #[test]
     fn executing_job_is_cancelled_not_dropped() {
         let svc = Service::new();
-        let (s1, _r1) = svc.open_session("frame/1");
-        let jid = svc.submit(&s1, req("sampling", &["--scale", "smoke"])).job;
+        let jid = svc.submit_detached("http/1", req("sampling", &["--scale", "smoke"])).job;
+        let (sess, rx) = svc.open_session();
+        assert!(svc.subscribe(&sess, jid));
         let d = svc.next_job().unwrap();
         assert_eq!(d.job, jid);
         assert!(!d.cancel.load(Ordering::Relaxed));
-        svc.close_session(&s1);
-        assert!(d.cancel.load(Ordering::Relaxed), "token set on close");
+        assert!(svc.cancel_job(jid));
+        assert!(d.cancel.load(Ordering::Relaxed), "token set on cancel");
         assert!(
             svc.state.lock().unwrap().jobs.contains_key(&jid),
             "reaped by the dispatcher, not here"
         );
         svc.finish_job(jid, Err("cancelled".into()), JobDeltas::default(), Duration::ZERO);
+        assert!(matches!(rx.try_recv(), Ok(Event::Error { job, .. }) if job == jid));
         match svc.job_status(jid) {
             Some(JobStatus::Done(o)) => assert_eq!(o.result.as_ref().unwrap_err(), "cancelled"),
             _ => panic!("finished job should be retained"),
         }
     }
 
-    /// The detached lifecycle end to end at the state level: submit,
-    /// poll queued → executing → done, fetch the outcome, and explicit
+    /// The job lifecycle end to end at the state level: submit, poll
+    /// queued → executing → done, fetch the outcome, and explicit
     /// cancel of a queued job.
     #[test]
-    fn detached_jobs_poll_through_their_lifecycle() {
+    fn jobs_poll_through_their_lifecycle() {
         let svc = Service::new();
         let sub = svc.submit_detached("http/1", req("fig03", &["--scale", "smoke"]));
         assert!(matches!(

@@ -1,9 +1,11 @@
-//! K-way dispatch determinism (ISSUE 10, satellite d): with
-//! `--jobs 2` two distinct jobs execute concurrently, yet every
-//! report stays byte-identical to a `--jobs 1` run and the per-job
-//! work deltas stay *exact* — concurrent jobs must not bleed
-//! fast-forward instructions or interval counts into each other's
-//! accounting. Cancelling one job never disturbs its neighbour.
+//! K-way dispatch determinism: with `--jobs 2` two distinct jobs
+//! execute concurrently, yet every report stays byte-identical to a
+//! `--jobs 1` run and the per-job work deltas stay *exact* —
+//! concurrent jobs must not bleed fast-forward instructions or
+//! interval counts into each other's accounting. Cancelling one job
+//! never disturbs its neighbour. Every client here speaks HTTP: the
+//! cancelled victim in raw requests, the rest through `dca client`'s
+//! own code path (`run_client`).
 
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -32,15 +34,15 @@ fn start(jobs: usize) -> (String, String, JoinHandle<Result<(), String>>) {
     };
     let handle = std::thread::spawn(move || {
         serve_with(opts, |bound| {
-            let _ = tx.send((bound.frame.clone(), bound.http.clone().unwrap()));
+            let _ = tx.send((bound.listen.clone(), bound.http.clone().unwrap()));
         })
     });
-    let (frame, http) = rx.recv().expect("server bound");
-    (frame, http, handle)
+    let (listen, http) = rx.recv().expect("server bound");
+    (listen, http, handle)
 }
 
-fn shutdown(frame_addr: &str, handle: JoinHandle<Result<(), String>>) {
-    run_client(&client_opts(frame_addr, Mode::Shutdown, None, None)).expect("shutdown");
+fn shutdown(addr: &str, handle: JoinHandle<Result<(), String>>) {
+    run_client(&client_opts(addr, Mode::Shutdown, None, None)).expect("shutdown");
     handle.join().expect("serve thread").expect("clean exit");
 }
 
@@ -52,7 +54,6 @@ fn client_opts(
 ) -> ClientOpts {
     ClientOpts {
         addr: addr.to_string(),
-        http: false,
         mode,
         out,
         json: false,
@@ -93,13 +94,13 @@ fn sampling_mode(period: &str) -> Mode {
 /// options keys) concurrently against a `--jobs K` daemon, one
 /// subscriber each, returning `(body, summary)` per job.
 fn run_pair(base: &std::path::Path, k: usize) -> Vec<(String, Json)> {
-    let (frame_addr, _http, handle) = start(k);
+    let (addr, _http, handle) = start(k);
     let results: Vec<(String, Json)> = std::thread::scope(|s| {
         let handles: Vec<_> = ["10000", "5000"]
             .iter()
             .enumerate()
             .map(|(i, period)| {
-                let addr = frame_addr.clone();
+                let addr = addr.clone();
                 let out = base.join(format!("k{k}-job{i}.md"));
                 let summary = base.join(format!("k{k}-job{i}.json"));
                 s.spawn(move || {
@@ -119,7 +120,7 @@ fn run_pair(base: &std::path::Path, k: usize) -> Vec<(String, Json)> {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    shutdown(&frame_addr, handle);
+    shutdown(&addr, handle);
     results
 }
 
@@ -163,7 +164,7 @@ fn k2_matches_k1_byte_for_byte_with_exact_per_job_deltas() {
 #[test]
 fn four_subscribers_per_job_all_get_the_same_bytes_at_k2() {
     let _serial = serial();
-    let (frame_addr, _http, handle) = start(2);
+    let (addr, _http, handle) = start(2);
     let base = std::env::temp_dir().join(format!("dca-dispatch-subs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
@@ -175,7 +176,7 @@ fn four_subscribers_per_job_all_get_the_same_bytes_at_k2() {
             .map(|n| {
                 let job = n % 2;
                 let insts = if job == 0 { "40000" } else { "30000" };
-                let addr = frame_addr.clone();
+                let addr = addr.clone();
                 let out = base.join(format!("sub{n}.md"));
                 s.spawn(move || {
                     run_client(&client_opts(&addr, figure_mode(insts), Some(out.clone()), None))
@@ -196,13 +197,13 @@ fn four_subscribers_per_job_all_get_the_same_bytes_at_k2() {
         );
     }
     let _ = std::fs::remove_dir_all(&base);
-    shutdown(&frame_addr, handle);
+    shutdown(&addr, handle);
 }
 
 #[test]
 fn cancelling_one_job_never_disturbs_its_neighbour() {
     let _serial = serial();
-    let (frame_addr, http_addr, handle) = start(2);
+    let (addr, http_addr, handle) = start(2);
     let base = std::env::temp_dir().join(format!("dca-dispatch-cxl-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
@@ -228,7 +229,7 @@ fn cancelling_one_job_never_disturbs_its_neighbour() {
 
     // The survivor starts while the victim is queued or executing.
     let survivor = {
-        let addr = frame_addr.clone();
+        let addr = addr.clone();
         let out = base.join("survivor.md");
         std::thread::spawn(move || {
             run_client(&client_opts(&addr, figure_mode("60000"), Some(out.clone()), None))
@@ -244,7 +245,7 @@ fn cancelling_one_job_never_disturbs_its_neighbour() {
 
     // The survivor's bytes match an undisturbed rerun.
     let out = base.join("rerun.md");
-    run_client(&client_opts(&frame_addr, figure_mode("60000"),
+    run_client(&client_opts(&addr, figure_mode("60000"),
         Some(out.clone()), None)).expect("rerun");
     assert_eq!(
         std::fs::read_to_string(&out).unwrap(),
@@ -252,5 +253,5 @@ fn cancelling_one_job_never_disturbs_its_neighbour() {
         "cancellation left the neighbour's result untouched"
     );
     let _ = std::fs::remove_dir_all(&base);
-    shutdown(&frame_addr, handle);
+    shutdown(&addr, handle);
 }
