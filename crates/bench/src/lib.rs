@@ -15,18 +15,21 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+mod sampled;
+
+#[cfg(test)]
+use sampled::{adaptive_prefix, merge_outcomes, IntervalOutcome, INTERVAL_CHUNK};
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dca_obs::progress;
-use dca_prog::{fast_forward_with, FastForward, Program};
-use dca_sim::{ContinuousWarmer, MachineDesc, SimConfig, SimStats, Simulator, Steering};
-use dca_uarch::UarchSnapshot;
-use dca_store::{CheckpointKey, FileKind, IntervalRecord, LockAttempt, ResultKey, Store, StoreError};
+use dca_prog::{FastForward, Program};
+use dca_sim::{MachineDesc, SimConfig, SimStats, Simulator, Steering};
+use dca_store::Store;
 use dca_steer::{
     FifoSteering, GeneralBalance, Modulo, Naive, NonSliceBalance, PrioritySliceBalance,
     SliceBalance, SliceKind, SliceSteering, StaticPartition,
@@ -253,7 +256,7 @@ pub enum Warming {
     Detached,
     /// Continuous (SMARTS-style) warming: the fast-forward pass streams
     /// every retired instruction through live cache/predictor models
-    /// and each checkpoint carries a [`UarchSnapshot`]; intervals
+    /// and each checkpoint carries a [`UarchSnapshot`](dca_uarch::UarchSnapshot); intervals
     /// restore it and execute **zero** detached-warming instructions.
     /// The paper-scale default.
     #[default]
@@ -602,7 +605,7 @@ pub struct SampleInfo {
     /// persistent store instead of being simulated in this process.
     pub from_store: u64,
     /// Outcomes of the merged prefix (measured or empty) that started
-    /// from a restored continuously-warmed [`UarchSnapshot`] — covers
+    /// from a restored continuously-warmed [`UarchSnapshot`](dca_uarch::UarchSnapshot) — covers
     /// every merged interval (and pairs with `warmed_insts == 0`)
     /// under [`Warming::Continuous`], 0 under [`Warming::Detached`].
     pub restored_snapshots: u64,
@@ -663,132 +666,6 @@ impl FastForwardInfo {
     }
 }
 
-/// Intervals requested per combination per adaptive scheduling round.
-/// Small enough that an early-stopping combination wastes at most a
-/// chunk of intervals, large enough that a 50-interval budget needs
-/// only a handful of rounds.
-const INTERVAL_CHUNK: usize = 8;
-
-/// One interval of a sampled run: its detailed statistics plus
-/// bookkeeping. Store-served intervals carry zero wall-clock.
-#[derive(Clone, Debug)]
-struct IntervalOutcome {
-    stats: SimStats,
-    /// Detached functional-warming instructions actually executed
-    /// (always 0 under continuous warming).
-    warmed: u64,
-    /// Whether the interval started from a restored [`UarchSnapshot`].
-    restored: bool,
-    warm_secs: f64,
-    detailed_secs: f64,
-    from_store: bool,
-}
-
-/// Standard error of the mean of `xs` (0 with fewer than two samples).
-fn stderr_of(xs: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (var / n).sqrt()
-}
-
-/// Two-sided 95% Student-t quantiles by degrees of freedom (index =
-/// df − 1); beyond the table the normal quantile is close enough.
-const T95: [f64; 30] = [
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-    2.052, 2.048, 2.045, 2.042,
-];
-
-/// 95% confidence half-width of the mean of `xs`: Student-t quantile ×
-/// standard error. The t factor is what keeps a lucky 2-sample
-/// variance estimate from stopping a combination prematurely (t₁ ≈
-/// 12.7); infinite below two samples.
-fn confidence_half_width(xs: &[f64]) -> f64 {
-    match xs.len() {
-        0 | 1 => f64::INFINITY,
-        n if n - 1 <= T95.len() => T95[n - 2] * stderr_of(xs),
-        _ => 1.96 * stderr_of(xs),
-    }
-}
-
-/// The deterministic early-exit rule of adaptive sampling (DESIGN.md
-/// §8): the prefix used for a combination is the **shortest
-/// checkpoint-ordered prefix** containing at least 2 measured
-/// (non-empty) intervals whose 95% confidence half-width
-/// ([`confidence_half_width`]) is ≤ `target`; without such a prefix,
-/// the full budget.
-///
-/// Returns `Some(prefix_len)` once the decision is possible from the
-/// available prefix — either the rule fired, or all `budget` intervals
-/// are present — and `None` when more intervals are needed. Because
-/// the rule scans prefixes from the front, its answer never changes
-/// when *more* intervals become available beyond the stopping point:
-/// the merged statistics are independent of worker completion order,
-/// chunk sizes, and how many extra intervals a previous run left in
-/// the store.
-fn adaptive_prefix(
-    outcomes: &[IntervalOutcome],
-    budget: usize,
-    target: Option<f64>,
-) -> Option<usize> {
-    if let Some(target) = target {
-        let mut ipcs: Vec<f64> = Vec::new();
-        for (i, o) in outcomes.iter().enumerate() {
-            if o.stats.committed == 0 {
-                continue;
-            }
-            ipcs.push(o.stats.ipc());
-            if ipcs.len() >= 2 && confidence_half_width(&ipcs) <= target {
-                return Some(i + 1);
-            }
-        }
-    }
-    (outcomes.len() >= budget).then_some(budget)
-}
-
-/// Merges the decided prefix `outcomes[..used]` into one `SimStats`
-/// plus sampling diagnostics. Checkpoints whose stream ended before
-/// the measured window opened contribute warming cost but no
-/// statistics, exactly as in the non-adaptive harness.
-fn merge_outcomes(outcomes: &[IntervalOutcome], used: usize, budget: u64) -> (SimStats, SampleInfo) {
-    let mut merged = SimStats::default();
-    let mut info = SampleInfo {
-        budget,
-        early_stop: (used as u64) < budget,
-        ..SampleInfo::default()
-    };
-    let mut ipcs: Vec<f64> = Vec::new();
-    for o in &outcomes[..used] {
-        info.warmed_insts += o.warmed;
-        info.warm_secs += o.warm_secs;
-        if o.from_store {
-            info.from_store += 1;
-        }
-        if o.restored {
-            info.restored_snapshots += 1;
-        }
-        if o.stats.committed == 0 {
-            continue;
-        }
-        ipcs.push(o.stats.ipc());
-        merged.merge(&o.stats);
-        info.intervals += 1;
-        info.detailed_insts += o.stats.committed;
-        info.detailed_cycles += o.stats.cycles;
-        info.detailed_secs += o.detailed_secs;
-    }
-    let n = ipcs.len() as f64;
-    if n > 0.0 {
-        info.ipc_mean = ipcs.iter().sum::<f64>() / n;
-    }
-    info.ipc_stderr = stderr_of(&ipcs);
-    (merged, info)
-}
-
 /// Memoising experiment driver: builds workloads once and simulates
 /// each (benchmark, machine, scheme) combination at most once.
 ///
@@ -799,10 +676,12 @@ fn merge_outcomes(outcomes: &[IntervalOutcome], used: usize, budget: u64) -> (Si
 /// one combination at a time.
 ///
 /// With [`RunOpts::sampling`] set, a run is no longer the unit of
-/// parallel work: each combination's dynamic window is fast-forwarded
-/// once per benchmark (checkpointing every `period` instructions) and
-/// the **sample intervals** of all requested combinations are fanned
-/// across the same worker pool, then merged per combination in
+/// parallel work: each benchmark's dynamic window is fast-forwarded
+/// once (checkpointing every `period` instructions) and the **sample
+/// intervals** of all requested combinations run on the same worker
+/// pool as that fast-forward — a plan of stream and interval items
+/// and one executor that starts interval `k` as soon as checkpoint
+/// `k` exists (DESIGN.md §6) — then merge per combination in
 /// checkpoint order (deterministic). This is what makes
 /// `figures --scale paper` — 100M instructions per benchmark — run in
 /// minutes instead of hours.
@@ -841,10 +720,11 @@ pub struct Lab {
     /// Persistent checkpoint/result store ([`RunOpts::store_dir`]).
     store: Option<Store>,
     /// Cooperative cancellation token ([`Lab::set_cancel`]): checked
-    /// between chunk-scheduling rounds, never mid-interval.
+    /// before each chunk release and at every checkpoint of a running
+    /// stream, never mid-interval.
     cancel: Option<Arc<AtomicBool>>,
     /// Per-round progress callback ([`Lab::set_round_hook`]): invoked
-    /// on the driving thread before each sampling round fans out.
+    /// on the driving thread before each chunk release.
     round_hook: Option<RoundHook>,
     /// Work attribution tally ([`Lab::work`]). Shared (same `Arc`)
     /// with labs that [`Lab::adopt_from`] this one, so side
@@ -901,18 +781,26 @@ impl WorkCounts {
 /// A per-round progress callback (see [`Lab::set_round_hook`]).
 pub type RoundHook = Box<dyn Fn(&RoundProgress) + Send>;
 
-/// What [`Lab::ensure`] is about to do in one chunk-scheduling round,
-/// handed to the hook installed with [`Lab::set_round_hook`] — the
-/// attachment point for live progress streaming (`dca serve` forwards
-/// these, plus the insts/sec gauges, to its subscribed clients).
+/// What [`Lab::ensure`] is about to do in one round, handed to the hook
+/// installed with [`Lab::set_round_hook`] — the attachment point for
+/// live progress streaming (`dca serve` forwards these, plus the
+/// insts/sec gauges, to its subscribed clients).
+///
+/// A round is one release step of the sampled executor: the driving
+/// thread releases the next checkpoint-order chunk of every run whose
+/// previous chunk has just been decided. Round 1 releases every run's
+/// first chunk; later rounds follow as chunks complete, run by run.
+/// While a benchmark's checkpoint stream is still running, its
+/// budget is estimated by the window's checkpoint grid.
 #[derive(Clone, Copy, Debug)]
 pub struct RoundProgress {
-    /// Scheduling round number, starting at 1.
+    /// Release step number, starting at 1.
     pub round: u64,
-    /// Intervals fanning out in this round.
+    /// Intervals released in this round (some may wait for their
+    /// checkpoint, and a stream that ends early drops those past it).
     pub batch: u64,
     /// Worst-case intervals still to simulate after this round's batch
-    /// was drawn (every undecided run exhausts its budget).
+    /// was released (every undecided run exhausts its budget).
     pub remaining: u64,
     /// Live sampling throughput, milli-intervals per second (the
     /// `intervals_per_sec_milli` gauge; 0 until the first round lands).
@@ -964,17 +852,21 @@ impl Lab {
 
     /// Installs a cooperative cancellation token (`None` clears it).
     ///
-    /// [`Lab::ensure`] checks the token between chunk-scheduling
-    /// rounds — the natural preemption points of the sampled driver —
-    /// and stops scheduling further work once it is set. Cancellation
-    /// is *total*, like store degradation: every requested combination
-    /// still receives an entry (merged from whatever contiguous prefix
-    /// of intervals finished in time, possibly empty), so no caller
-    /// panics; the caller that set the token is expected to check
-    /// [`Lab::cancelled`] and discard this lab, whose caches now hold
-    /// partial results. Intervals that did complete are still saved to
-    /// the store — they form a valid checkpoint-order prefix a future
-    /// run extends.
+    /// [`Lab::ensure`] checks the token at the natural preemption
+    /// points of the sampled driver and stops scheduling further work
+    /// once it is set. A running checkpoint stream checks it at every
+    /// checkpoint and stops there; a stream cut this way is neither
+    /// saved to the store nor memoised. The executor checks it before
+    /// each chunk release: intervals already released still finish if
+    /// their checkpoint exists, those whose checkpoint never arrived
+    /// are dropped. Cancellation is *total*, like store degradation:
+    /// every requested combination still receives an entry (merged
+    /// from whatever contiguous prefix of intervals finished in time,
+    /// possibly empty), so no caller panics; the caller that set the
+    /// token is expected to check [`Lab::cancelled`] and discard this
+    /// lab, whose caches now hold partial results. Intervals that did
+    /// complete are still saved to the store — they form a valid
+    /// checkpoint-order prefix a future run extends.
     pub fn set_cancel(&mut self, token: Option<Arc<AtomicBool>>) {
         self.cancel = token;
     }
@@ -987,8 +879,8 @@ impl Lab {
     }
 
     /// Installs a per-round progress hook (`None` clears it): called
-    /// on the driving thread just before each sampling round fans out,
-    /// with the round's [`RoundProgress`]. `dca serve` uses this to
+    /// on the driving thread just before each chunk release, with the
+    /// round's [`RoundProgress`]. `dca serve` uses this to
     /// stream progress events to its clients.
     pub fn set_round_hook(&mut self, hook: Option<RoundHook>) {
         self.round_hook = hook;
@@ -1108,103 +1000,6 @@ impl Lab {
         m
     }
 
-    /// First-writer-wins shard acquisition against a shared store.
-    ///
-    /// Fast path: the shard is already published — return it. On a
-    /// miss, race the other workers for the shard lock; the winner
-    /// re-checks under the lock (a peer may have published while it
-    /// waited), computes, saves and releases. Losers poll the shard
-    /// with exponential backoff (10ms doubling, capped at 250ms) until
-    /// the winner publishes or [`Store::lock_wait`] elapses.
-    ///
-    /// Degradation rule (ISSUE 6): a store that is unreadable, not
-    /// lockable, or whose lock never frees must never fail the run —
-    /// every such path computes in memory, skips the save, warns on
-    /// stderr, and reports `from_store = false`.
-    fn locked_fetch_or_compute<T>(
-        store: &Store,
-        name: &str,
-        what: &str,
-        load: impl Fn() -> Result<T, StoreError>,
-        mut compute: impl FnMut() -> T,
-        save: impl Fn(&T) -> Result<(), StoreError>,
-    ) -> (T, bool) {
-        // A stale or corrupt entry is *not* a reason to abandon the
-        // store: fall through to the lock loop so the winner heals it
-        // (recompute + save). Only an unusable store — lock directory
-        // unreachable, or a lock that never frees — degrades.
-        let m = dca_obs::metrics();
-        match load() {
-            Ok(v) => {
-                m.store_hits_total.inc();
-                return (v, true);
-            }
-            Err(e) if e.is_not_found() => m.store_misses_total.inc(),
-            Err(e) => {
-                m.store_misses_total.inc();
-                progress::warn(format!("[lab] store: {what}: {e}; recomputing"));
-            }
-        }
-        let wait_t0 = Instant::now();
-        let deadline = wait_t0 + store.lock_wait();
-        let mut backoff = Duration::from_millis(10);
-        let waited_ns = || wait_t0.elapsed().as_nanos() as u64;
-        loop {
-            match store.try_lock(FileKind::Checkpoints, name) {
-                LockAttempt::Acquired(_guard) => {
-                    m.lock_elections_won_total.inc();
-                    m.lock_wait_ns.record(waited_ns());
-                    match load() {
-                        Ok(v) => return (v, true),
-                        Err(e) if e.is_not_found() => {}
-                        Err(e) => {
-                            progress::warn(format!("[lab] store: {what}: {e}; recomputing"));
-                        }
-                    }
-                    let v = compute();
-                    if let Err(e) = save(&v) {
-                        progress::warn(format!("[lab] store: could not save {what}: {e}"));
-                    }
-                    return (v, false);
-                }
-                LockAttempt::Busy => {
-                    // The holder is computing (or healing) this shard:
-                    // poll for its publication, quietly treating
-                    // not-yet-healed errors as misses.
-                    if let Ok(v) = load() {
-                        m.lock_elections_lost_total.inc();
-                        m.lock_wait_ns.record(waited_ns());
-                        return (v, true);
-                    }
-                    if Instant::now() >= deadline {
-                        // The loser's degradation is part of the total-
-                        // degradation invariant (a permanently held
-                        // lock must never fail a run) — counted, so a
-                        // fleet of serve workers wedging on one lock is
-                        // visible in the metrics, not just in stderr.
-                        m.lock_deadline_expired_total.inc();
-                        m.lock_wait_ns.record(waited_ns());
-                        progress::warn(format!(
-                            "[lab] store: lock on {name} still held after {:?}; \
-                             computing {what} without the store",
-                            store.lock_wait()
-                        ));
-                        return (compute(), false);
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(250));
-                }
-                LockAttempt::Unavailable(e) => {
-                    m.lock_wait_ns.record(waited_ns());
-                    progress::warn(format!(
-                        "[lab] store: lock unavailable ({e}); computing {what} without the store"
-                    ));
-                    return (compute(), false);
-                }
-            }
-        }
-    }
-
     /// Shares another lab's built workloads and checkpoint streams
     /// with this one (cheap: programs and copy-on-write memory pages
     /// clone by reference). Short-lived side measurements — the
@@ -1277,9 +1072,10 @@ impl Lab {
     /// into the memoisation cache after the join, so subsequent
     /// [`Lab::stats`] calls are pure lookups.
     ///
-    /// In sampled mode ([`RunOpts::sampling`]) the unit of parallel
-    /// work is one *sample interval*, not one run; see
-    /// [`Lab::ensure_sampled`].
+    /// In sampled mode ([`RunOpts::sampling`]) the units of parallel
+    /// work are one checkpoint stream per benchmark and one *sample
+    /// interval* per (run, checkpoint), scheduled by the sampled
+    /// executor (DESIGN.md §6).
     pub fn ensure(&mut self, runs: &[(&str, Machine, SchemeKind)]) {
         // Distinct missing combinations, first-seen order.
         let mut todo: Vec<Run> = Vec::new();
@@ -1331,446 +1127,6 @@ impl Lab {
         self.cache.extend(results);
     }
 
-    /// Sampled-mode batch driver: obtains each distinct benchmark's
-    /// checkpoint stream — from the persistent store when one is
-    /// configured and holds a current entry, otherwise by
-    /// fast-forwarding once (and saving) — then schedules the sample
-    /// intervals of every missing combination across the worker pool.
-    ///
-    /// With [`SampleOpts::target_stderr`] set, intervals are drawn in
-    /// checkpoint-order **chunks** per combination and a combination
-    /// stops as soon as the deterministic prefix rule
-    /// ([`adaptive_prefix`]) fires — so a low-variance combination
-    /// costs a handful of intervals, not the full budget. The rule is
-    /// evaluated on checkpoint-ordered prefixes only, which makes the
-    /// merged statistics (and every artefact rendered from them)
-    /// independent of worker completion order and of whether intervals
-    /// came from the store or from fresh simulation.
-    fn ensure_sampled(&mut self, todo: &[Run], sampling: SampleOpts) {
-        assert!(
-            sampling.interval <= sampling.period,
-            "sample interval ({}) exceeds the checkpoint period ({}): successive \
-             measured windows would overlap and multiply-count instructions",
-            sampling.interval,
-            sampling.period
-        );
-        let max_insts = self.opts.max_insts;
-        let scale = self.opts.scale.name();
-        let warming = sampling.warming;
-        // Steering-table warm-up rides on the detached warming window;
-        // under continuous warming there is no such window to replay,
-        // so the flag is inert (and excluded from the result keys).
-        let warm_steering = self.opts.warm_steering && warming == Warming::Detached;
-        let continuous = warming == Warming::Continuous;
-        // The warmup budget is equally inert under continuous warming
-        // (zero detached-warming instructions run): normalise it out
-        // of the result keys so a warm store survives `--sample-warmup`
-        // changes that cannot affect the stored intervals.
-        let key_warmup = if continuous { 0 } else { sampling.warmup };
-        // Resolved machine configs, one per run: the store keys carry
-        // their `config_hash` (results) so ablated/custom geometries
-        // never collide, and the warming substrate's `uarch_hash`
-        // (checkpoint streams) so snapshots only restore onto the
-        // geometry that produced them.
-        let cfgs: Vec<SimConfig> = todo.iter().map(|&(_, m, _)| self.config_of(m)).collect();
-        let warm_uarch = SimConfig::default().uarch_hash();
-
-        // Workload fingerprints for the store keys, once per benchmark.
-        let mut fingerprints: HashMap<&'static str, u64> = HashMap::new();
-        if self.store.is_some() {
-            for &(bench, _, _) in todo {
-                let w = &self.workloads[bench];
-                fingerprints.entry(bench).or_insert_with(|| w.fingerprint());
-            }
-        }
-
-        // Checkpoint streams for benchmarks not yet fast-forwarded:
-        // consult the store first (a shorter window may be served from
-        // the prefix of a longer stored stream — cross-scale reuse,
-        // DESIGN.md §9), recompute (and save) on a miss. The pass
-        // always streams through a [`ContinuousWarmer`], so every
-        // stream carries per-checkpoint `UarchSnapshot`s whichever
-        // warming mode this invocation uses — both modes then share
-        // one stream file per benchmark. All machine presets share the
-        // Table 2 front end, so one warmed stream serves them all.
-        let mut missing: Vec<&'static str> = Vec::new();
-        for &(bench, _, _) in todo {
-            if !self.ffs.contains_key(bench) && !missing.contains(&bench) {
-                missing.push(bench);
-            }
-        }
-        if !missing.is_empty() {
-            let _ff_span = dca_obs::span("lab", "lab.fast_forward_phase")
-                .arg("benchmarks", missing.len());
-            progress::detail(format!(
-                "[lab] fast-forwarding {} benchmark(s) ({} insts, checkpoint every {})",
-                missing.len(),
-                max_insts,
-                sampling.period
-            ));
-            let workloads = &self.workloads;
-            let store = self.store.as_ref();
-            let fps = &fingerprints;
-            let passes = Self::fan_out(&missing, |&bench| {
-                let w = &workloads[bench];
-                let key = store.map(|_| CheckpointKey {
-                    workload: bench,
-                    scale,
-                    period: sampling.period,
-                    max_insts,
-                    fingerprint: fps[bench],
-                    uarch: warm_uarch,
-                });
-                let t0 = Instant::now();
-                let compute = || {
-                    let mut hook = ContinuousWarmer::new(&SimConfig::default());
-                    fast_forward_with(
-                        &w.program,
-                        w.memory.clone(),
-                        sampling.period,
-                        max_insts,
-                        &mut hook,
-                    )
-                };
-                let (ff, from_store) = match (store, key.as_ref()) {
-                    // Shared store: elect one computer per stream shard
-                    // (first-writer-wins) so N concurrent labs on one
-                    // `--store-dir` fast-forward each benchmark once.
-                    (Some(store), Some(key)) => Self::locked_fetch_or_compute(
-                        store,
-                        &key.file_name(),
-                        &format!("checkpoints for {bench}"),
-                        || store.load_checkpoints_covering(key),
-                        compute,
-                        |ff| store.save_checkpoints(key, ff).map(|_| ()),
-                    ),
-                    _ => (compute(), false), // no store configured
-                };
-                (bench, ff, t0.elapsed().as_secs_f64(), from_store)
-            });
-            let (mut ff_executed, mut ff_secs) = (0u64, 0.0f64);
-            for (bench, ff, secs, from_store) in passes {
-                let info = FastForwardInfo {
-                    insts: ff.total_insts,
-                    checkpoints: ff.checkpoints.len() as u64,
-                    secs,
-                    from_store,
-                };
-                ff_executed += info.executed_insts();
-                ff_secs += secs;
-                self.ff_info.insert(bench, info);
-                self.ffs.insert(bench, ff);
-            }
-            self.tally.ff_insts.fetch_add(ff_executed, Ordering::Relaxed);
-            if ff_executed > 0 && ff_secs > 0.0 {
-                dca_obs::metrics()
-                    .ff_insts_per_sec
-                    .set((ff_executed as f64 / ff_secs) as u64);
-            }
-        }
-
-        // Per-run interval state, prefilled from the store. Outcomes
-        // always form a contiguous checkpoint-order prefix.
-        struct RunState {
-            outcomes: Vec<IntervalOutcome>,
-            /// Decided prefix length, once the rule fires.
-            used: Option<usize>,
-            /// Outcomes that came from the store (a prefix).
-            prefilled: usize,
-        }
-        let budgets: Vec<usize> = todo
-            .iter()
-            .map(|&(bench, _, _)| self.ffs[bench].checkpoints.len())
-            .collect();
-        let mut states: Vec<RunState> = Vec::with_capacity(todo.len());
-        for (i, &(bench, machine, scheme)) in todo.iter().enumerate() {
-            let mut outcomes: Vec<IntervalOutcome> = Vec::new();
-            if let Some(store) = &self.store {
-                let scheme_key = scheme.key();
-                let machine_key = machine.key();
-                let key = ResultKey {
-                    workload: bench,
-                    scale,
-                    machine: &machine_key,
-                    geometry: cfgs[i].config_hash(),
-                    scheme: &scheme_key,
-                    period: sampling.period,
-                    warmup: key_warmup,
-                    interval: sampling.interval,
-                    max_insts,
-                    warm_steering,
-                    continuous_warming: continuous,
-                    fingerprint: fingerprints[bench],
-                };
-                match store.load_intervals(&key) {
-                    Ok(records) => {
-                        outcomes = records
-                            .into_iter()
-                            .take(budgets[i])
-                            .map(|r| IntervalOutcome {
-                                stats: r.stats,
-                                warmed: r.warmed_insts,
-                                restored: continuous,
-                                warm_secs: 0.0,
-                                detailed_secs: 0.0,
-                                from_store: true,
-                            })
-                            .collect();
-                        let m = dca_obs::metrics();
-                        m.store_hits_total.inc();
-                        m.intervals_from_store_total.add(outcomes.len() as u64);
-                        self.tally
-                            .intervals_from_store
-                            .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
-                    }
-                    Err(e) if e.is_not_found() => {
-                        dca_obs::metrics().store_misses_total.inc();
-                    }
-                    Err(e) => {
-                        dca_obs::metrics().store_misses_total.inc();
-                        progress::warn(format!("[lab] store: {e}; recomputing"));
-                    }
-                }
-            }
-            let used = adaptive_prefix(&outcomes, budgets[i], sampling.target_stderr);
-            states.push(RunState {
-                prefilled: outcomes.len(),
-                outcomes,
-                used,
-            });
-        }
-
-        // Chunked scheduling rounds: every undecided run contributes
-        // its next chunk of checkpoint indices; all chunks of a round
-        // fan out together. Without a stderr target a run's first
-        // chunk is its whole budget (no adaptivity — one round).
-        let mut round = 0u64;
-        loop {
-            // Round boundaries are the cancellation points: a set
-            // token freezes every undecided run at its contiguous
-            // prefix (possibly empty) so the merge below stays total.
-            if self.cancelled() {
-                for st in states.iter_mut() {
-                    if st.used.is_none() {
-                        st.used = Some(st.outcomes.len());
-                    }
-                }
-                progress::warn("[lab] sampling cancelled; merging completed prefixes");
-                break;
-            }
-            let mut batch: Vec<(usize, usize)> = Vec::new();
-            for (i, st) in states.iter().enumerate() {
-                if st.used.is_some() {
-                    continue;
-                }
-                let have = st.outcomes.len();
-                let until = if sampling.target_stderr.is_some() {
-                    (have + INTERVAL_CHUNK).min(budgets[i])
-                } else {
-                    budgets[i]
-                };
-                batch.extend((have..until).map(|idx| (i, idx)));
-            }
-            if batch.is_empty() {
-                break;
-            }
-            // Worst-case work remaining (every undecided run exhausts
-            // its budget), for the ETA off the live intervals/sec rate.
-            let remaining: u64 = states
-                .iter()
-                .zip(&budgets)
-                .filter(|(st, _)| st.used.is_none())
-                .map(|(st, &b)| (b - st.outcomes.len()) as u64)
-                .sum();
-            progress::detail(format!(
-                "[lab] sampling round: {} intervals ({} worst-case, {})",
-                batch.len(),
-                remaining,
-                progress::eta(
-                    remaining,
-                    dca_obs::metrics().intervals_per_sec_milli.get()
-                )
-            ));
-            round += 1;
-            if let Some(hook) = &self.round_hook {
-                hook(&RoundProgress {
-                    round,
-                    batch: batch.len() as u64,
-                    remaining,
-                    intervals_per_sec_milli: dca_obs::metrics().intervals_per_sec_milli.get(),
-                });
-            }
-            let round_t0 = Instant::now();
-            let workloads = &self.workloads;
-            let ffs = &self.ffs;
-            let tally = &self.tally;
-            let results = Self::fan_out(&batch, |&(i, idx)| {
-                let (bench, machine, scheme) = todo[i];
-                let _span = dca_obs::span("lab", "lab.interval")
-                    .arg("bench", bench)
-                    .arg("checkpoint", idx);
-                let w = &workloads[bench];
-                let ckpt = &ffs[bench].checkpoints[idx];
-                let cfg = &cfgs[i];
-                let mut steering = scheme.instantiate(&w.program);
-                let mut sim = Simulator::resume_from(cfg, &w.program, ckpt);
-                let t0 = Instant::now();
-                // Continuous warming restores the checkpoint's carried
-                // snapshot — zero detached-warming instructions (the
-                // acceptance counter of the warming work); detached
-                // warming replays `warmup` instructions as before.
-                let warmed = match warming {
-                    Warming::Continuous => {
-                        let blob = ckpt.uarch().unwrap_or_else(|| {
-                            panic!(
-                                "continuous warming: checkpoint at {} of {bench} carries no \
-                                 uarch snapshot (stream computed without a warm hook?)",
-                                ckpt.seq()
-                            )
-                        });
-                        let snap = UarchSnapshot::decode(blob).unwrap_or_else(|e| {
-                            panic!("continuous warming: {bench} @ {}: {e}", ckpt.seq())
-                        });
-                        sim.restore_uarch(&snap).unwrap_or_else(|e| {
-                            panic!(
-                                "continuous warming: {bench} @ {} on {}: {e}",
-                                ckpt.seq(),
-                                machine.key()
-                            )
-                        });
-                        0
-                    }
-                    Warming::Detached if warm_steering => {
-                        sim.warm_functional_steered(sampling.warmup, steering.as_mut())
-                    }
-                    Warming::Detached => sim.warm_functional(sampling.warmup),
-                };
-                let warm_secs = t0.elapsed().as_secs_f64();
-                let budget = (ckpt.seq() + warmed + sampling.interval).min(max_insts);
-                let t1 = Instant::now();
-                let stats = sim.run_mut(steering.as_mut(), budget);
-                let detailed_secs = t1.elapsed().as_secs_f64();
-                let m = dca_obs::metrics();
-                m.intervals_computed_total.inc();
-                tally.intervals_computed.fetch_add(1, Ordering::Relaxed);
-                m.warm_insts_total.add(warmed);
-                m.interval_ns.record((detailed_secs * 1e9) as u64);
-                (
-                    (i, idx),
-                    IntervalOutcome {
-                        stats,
-                        warmed,
-                        restored: warming == Warming::Continuous,
-                        warm_secs,
-                        detailed_secs,
-                        from_store: false,
-                    },
-                )
-            });
-            // Live sampling throughput for the next round's ETA line.
-            let round_secs = round_t0.elapsed().as_secs_f64();
-            if round_secs > 0.0 {
-                dca_obs::metrics()
-                    .intervals_per_sec_milli
-                    .set((batch.len() as f64 * 1000.0 / round_secs) as u64);
-            }
-            // Deterministic append: checkpoint order per run, whatever
-            // order the workers finished in.
-            let ordered: BTreeMap<(usize, usize), IntervalOutcome> =
-                results.into_iter().collect();
-            for ((i, idx), outcome) in ordered {
-                debug_assert_eq!(states[i].outcomes.len(), idx, "contiguous prefix");
-                states[i].outcomes.push(outcome);
-            }
-            for (i, st) in states.iter_mut().enumerate() {
-                if st.used.is_none() {
-                    st.used = adaptive_prefix(&st.outcomes, budgets[i], sampling.target_stderr);
-                }
-            }
-        }
-
-        // Merge each run's decided prefix, persist newly computed
-        // intervals, and fill the caches.
-        let (mut all_det_insts, mut all_det_secs) = (0u64, 0.0f64);
-        for (i, &(bench, machine, scheme)) in todo.iter().enumerate() {
-            let st = &states[i];
-            let used = st.used.expect("scheduling loop decides every run");
-            let (merged, info) = merge_outcomes(&st.outcomes, used, budgets[i] as u64);
-            {
-                let m = dca_obs::metrics();
-                if info.early_stop {
-                    m.early_stops_total.inc();
-                }
-                m.restored_snapshots_total.add(info.restored_snapshots);
-                all_det_insts += info.detailed_insts;
-                all_det_secs += info.detailed_secs;
-            }
-            if let Some(store) = &self.store {
-                if st.outcomes.len() > st.prefilled {
-                    let scheme_key = scheme.key();
-                    let machine_key = machine.key();
-                    let key = ResultKey {
-                        workload: bench,
-                        scale,
-                        machine: &machine_key,
-                        geometry: cfgs[i].config_hash(),
-                        scheme: &scheme_key,
-                        period: sampling.period,
-                        warmup: key_warmup,
-                        interval: sampling.interval,
-                        max_insts,
-                        warm_steering,
-                        continuous_warming: continuous,
-                        fingerprint: fingerprints[bench],
-                    };
-                    let records: Vec<IntervalRecord> = st
-                        .outcomes
-                        .iter()
-                        .map(|o| IntervalRecord {
-                            stats: o.stats.clone(),
-                            warmed_insts: o.warmed,
-                        })
-                        .collect();
-                    // One lock attempt, no retry: interval shards are an
-                    // optimisation, and a peer holding the lock is
-                    // writing its own (equal or longer) prefix anyway.
-                    // Under the lock, never shrink a longer stored
-                    // prefix — concurrent labs may decide different
-                    // adaptive budgets for the same combination.
-                    match store.try_lock(FileKind::Results, &key.file_name()) {
-                        LockAttempt::Acquired(_guard) => {
-                            let existing = match store.load_intervals(&key) {
-                                Ok(stored) => stored.len(),
-                                Err(_) => 0,
-                            };
-                            if existing < records.len() {
-                                if let Err(e) = store.save_intervals(&key, &records) {
-                                    progress::warn(format!(
-                                        "[lab] store: could not save intervals: {e}"
-                                    ));
-                                }
-                            }
-                        }
-                        LockAttempt::Busy => {} // a peer is writing this shard
-                        LockAttempt::Unavailable(e) => {
-                            progress::warn(format!(
-                                "[lab] store: could not save intervals: {e}"
-                            ));
-                        }
-                    }
-                }
-            }
-            let key = Self::cache_key(bench, machine, scheme);
-            self.sample_info.insert(key.clone(), info);
-            self.cache.insert(key, merged);
-        }
-        if all_det_insts > 0 && all_det_secs > 0.0 {
-            dca_obs::metrics()
-                .detailed_insts_per_sec
-                .set((all_det_insts as f64 / all_det_secs) as u64);
-        }
-    }
-
     /// Sampling diagnostics of a combination simulated in sampled mode
     /// (`None` for unsampled runs).
     pub fn sample_info(&self, bench: &str, machine: Machine, scheme: SchemeKind) -> Option<&SampleInfo> {
@@ -1808,8 +1164,9 @@ impl Lab {
     /// is unspecified. Runs inline when a single worker suffices.
     ///
     /// Worker threads are drawn from the process-wide budget
-    /// ([`set_worker_budget`]): concurrent fan-outs — e.g. K serve
-    /// jobs sampling at once — split the machine between them instead
+    /// ([`set_worker_budget`]), as the sampled executor's are:
+    /// concurrent fan-outs — e.g. K serve jobs at once — split the
+    /// machine between them instead
     /// of each spawning a full complement. A fan-out always gets at
     /// least one worker (progress is never blocked on the budget), so
     /// momentary oversubscription is bounded by the number of
@@ -1918,10 +1275,11 @@ fn worker_budget() -> &'static AtomicI64 {
 }
 
 /// Sets the process-wide Lab worker budget (default: one per core).
-/// Concurrent fan-outs — K serve jobs sampling at once — share this
-/// pool instead of each assuming it owns the machine. Call while no
-/// fan-out is in flight (at startup, or between jobs): the budget is
-/// set absolutely, not adjusted relative to outstanding claims.
+/// Concurrent fan-outs and sampled executors — K serve jobs at once —
+/// share this pool instead of each assuming it owns the machine. Call
+/// while no fan-out is in flight (at startup, or between jobs): the
+/// budget is set absolutely, not adjusted relative to outstanding
+/// claims.
 pub fn set_worker_budget(n: usize) {
     worker_budget().store(n.max(1) as i64, Ordering::SeqCst);
 }
@@ -2031,6 +1389,7 @@ fn emit(fig: &figures::Figure, out: &std::path::Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dca_store::{CheckpointKey, FileKind, LockAttempt};
 
     fn smoke_opts() -> RunOpts {
         RunOpts {
@@ -3062,6 +2421,51 @@ mod tests {
         let stats = lab.stats(run.0, run.1, run.2);
         assert!(lab.cancelled());
         assert_eq!(stats.committed, 0, "no work scheduled after cancellation");
+    }
+
+    /// Cancellation reaches the fast-forward: a cold run whose stream
+    /// covers a long window stops streaming at the first checkpoint
+    /// after the token is set. The cut stream is neither saved nor
+    /// memoised, and the merge stays total.
+    #[test]
+    fn cancellation_cuts_the_checkpoint_stream() {
+        let window = 600_000;
+        let (mut opts, dir) = store_opts("cancel-stream");
+        opts.scale = Scale::Default;
+        opts.max_insts = window;
+        opts.sampling = Some(SampleOpts {
+            period: 20_000,
+            warmup: 1_000,
+            interval: 2_000,
+            target_stderr: Some(1e-12),
+            warming: Warming::Continuous,
+        });
+        let runs = [
+            ("compress", Machine::Clustered, SchemeKind::GeneralBalance),
+            ("compress", Machine::Base, SchemeKind::Naive),
+        ];
+        let token = Arc::new(AtomicBool::new(false));
+        let mut lab = Lab::new(opts);
+        lab.set_cancel(Some(token.clone()));
+        lab.set_round_hook(Some(Box::new(move |_| {
+            token.store(true, Ordering::Relaxed);
+        })));
+        lab.ensure(&runs);
+        assert!(lab.cancelled());
+        let work = lab.work();
+        assert!(work.ff_insts < window, "stream cut at {} of {window}", work.ff_insts);
+        assert!(lab.fast_forward_info("compress").is_none(), "a cut stream is not memoised");
+        assert!(
+            shard_files(&dir).iter().all(|f| !f.starts_with(dir.join("ck"))),
+            "a cut stream is not saved"
+        );
+        for (bench, machine, scheme) in runs {
+            let info = lab.sample_info(bench, machine, scheme).expect("total: info exists");
+            assert!(info.intervals < info.budget);
+            lab.stats(bench, machine, scheme);
+        }
+        assert_eq!(lab.work(), work, "every combination has an entry already");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

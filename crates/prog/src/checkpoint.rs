@@ -144,6 +144,9 @@ pub fn fast_forward(prog: &Program, mem: Memory, every: u64, max: u64) -> FastFo
 /// The dynamic stream and the checkpoint grid are identical to the
 /// hook-free pass — a hook only *adds* microarchitectural state.
 ///
+/// This is [`CheckpointStream`] collected: consumers that want each
+/// checkpoint the moment it is taken iterate the stream instead.
+///
 /// # Panics
 ///
 /// Panics if `every == 0`.
@@ -154,25 +157,121 @@ pub fn fast_forward_with(
     max: u64,
     hook: &mut dyn WarmHook,
 ) -> FastForward {
-    assert!(every > 0, "checkpoint interval must be non-zero");
-    let mut span = dca_obs::span("prog", "prog.fast_forward").arg("every", every);
-    let mut it = Interp::new(prog, mem).with_fuel(max);
-    let mut checkpoints = vec![it.checkpoint().with_uarch_opt(hook.snapshot())];
-    let mut next_ckpt = every;
-    while let Some(d) = it.next() {
-        hook.observe(&d);
-        if it.seq() == next_ckpt && it.seq() < max {
-            checkpoints.push(it.checkpoint().with_uarch_opt(hook.snapshot()));
-            next_ckpt += every;
-        }
-    }
-    span.add_arg("insts", it.seq());
-    span.add_arg("checkpoints", checkpoints.len());
-    dca_obs::metrics().ff_insts_total.add(it.seq());
+    let mut stream = CheckpointStream::new(prog, mem, every, max, hook);
+    let checkpoints = stream.by_ref().collect();
     FastForward {
         checkpoints,
-        total_insts: it.seq(),
-        halted: it.halted(),
+        total_insts: stream.insts(),
+        halted: stream.halted(),
+    }
+}
+
+/// The functional fast-forward as an iterator: yields the checkpoints
+/// at dynamic-instruction counts `0, K, 2K, …` one by one, each the
+/// moment the interpreter reaches it, so a consumer can start on
+/// checkpoint `k` while the pass is still running towards `k + 1`.
+/// Collecting the whole stream is exactly [`fast_forward_with`].
+///
+/// Dropping the stream early stops the interpreter there; the
+/// instructions executed so far are still counted (the
+/// `prog.fast_forward` span and the `ff_insts_total` metric cover
+/// the stream's whole life, however it ends).
+///
+/// # Example
+///
+/// ```
+/// use dca_prog::{fast_forward, parse_asm, CheckpointStream, Memory, NoWarmHook};
+/// let p = parse_asm("e:\n li r1, #100\nl:\n add r1, r1, #-1\n bne r1, r0, l\n halt")?;
+/// let mut hook = NoWarmHook;
+/// let mut stream = CheckpointStream::new(&p, Memory::new(), 50, u64::MAX, &mut hook);
+/// let first_two: Vec<u64> = stream.by_ref().take(2).map(|c| c.seq()).collect();
+/// assert_eq!(first_two, [0, 50]);
+/// assert_eq!(stream.insts(), 50); // stopped at the second checkpoint
+/// let all = fast_forward(&p, Memory::new(), 50, u64::MAX);
+/// assert_eq!(all.checkpoints.len(), 5);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct CheckpointStream<'p, 'h> {
+    it: Interp<'p>,
+    hook: &'h mut dyn WarmHook,
+    every: u64,
+    max: u64,
+    /// Sequence number of the next checkpoint to yield; `None` before
+    /// the initial one.
+    next_ckpt: Option<u64>,
+    taken: usize,
+    span: dca_obs::Span,
+}
+
+impl<'p, 'h> CheckpointStream<'p, 'h> {
+    /// Starts a fast-forward of `prog` from `mem` for at most `max`
+    /// dynamic instructions, checkpointing every `every`. A final
+    /// checkpoint exactly at the end of the stream is *not* yielded
+    /// (there would be nothing left to simulate from it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every == 0`.
+    pub fn new(
+        prog: &'p Program,
+        mem: Memory,
+        every: u64,
+        max: u64,
+        hook: &'h mut dyn WarmHook,
+    ) -> CheckpointStream<'p, 'h> {
+        assert!(every > 0, "checkpoint interval must be non-zero");
+        CheckpointStream {
+            it: Interp::new(prog, mem).with_fuel(max),
+            hook,
+            every,
+            max,
+            next_ckpt: None,
+            taken: 0,
+            span: dca_obs::span("prog", "prog.fast_forward").arg("every", every),
+        }
+    }
+
+    /// Dynamic instructions executed so far (the whole window once the
+    /// stream is exhausted).
+    pub fn insts(&self) -> u64 {
+        self.it.seq()
+    }
+
+    /// Whether the program reached `halt`.
+    pub fn halted(&self) -> bool {
+        self.it.halted()
+    }
+
+    fn take(&mut self) -> Checkpoint {
+        self.taken += 1;
+        self.it.checkpoint().with_uarch_opt(self.hook.snapshot())
+    }
+}
+
+impl Iterator for CheckpointStream<'_, '_> {
+    type Item = Checkpoint;
+
+    fn next(&mut self) -> Option<Checkpoint> {
+        let Some(next) = self.next_ckpt else {
+            self.next_ckpt = Some(self.every);
+            return Some(self.take());
+        };
+        while let Some(d) = self.it.next() {
+            self.hook.observe(&d);
+            if self.it.seq() == next && next < self.max {
+                self.next_ckpt = Some(next + self.every);
+                return Some(self.take());
+            }
+        }
+        None
+    }
+}
+
+impl Drop for CheckpointStream<'_, '_> {
+    fn drop(&mut self) {
+        self.span.add_arg("insts", self.it.seq());
+        self.span.add_arg("checkpoints", self.taken);
+        dca_obs::metrics().ff_insts_total.add(self.it.seq());
     }
 }
 
@@ -496,6 +595,26 @@ mod tests {
         for (k, c) in ff.checkpoints.iter().enumerate() {
             assert_eq!(c.seq(), k as u64 * 50);
         }
+    }
+
+    #[test]
+    fn stream_yields_the_collected_pass_one_checkpoint_at_a_time() {
+        let p = countdown(100);
+        let ff = fast_forward(&p, Memory::new(), 50, 400);
+        let mut hook = NoWarmHook;
+        let mut stream = CheckpointStream::new(&p, Memory::new(), 50, 400, &mut hook);
+        for (k, want) in ff.checkpoints.iter().enumerate() {
+            let got = stream.next().expect("one checkpoint per grid point");
+            // Each checkpoint arrives the moment the pass reaches it.
+            assert_eq!(stream.insts(), k as u64 * 50);
+            assert_eq!(got.seq(), want.seq());
+            let tail: Vec<_> = Interp::resume(&p, &got).collect();
+            let want_tail: Vec<_> = Interp::resume(&p, want).collect();
+            assert_eq!(tail, want_tail);
+        }
+        assert!(stream.next().is_none());
+        assert_eq!(stream.insts(), ff.total_insts);
+        assert_eq!(stream.halted(), ff.halted);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   (copy-on-write memory pages) taken every K instructions during a
 //!   functional fast-forward — the substrate of the sampled-simulation
 //!   harness (DESIGN.md §7) that makes paper-scale (100M-instruction)
-//!   runs affordable.
+//!   runs affordable. [`CheckpointStream`] yields them one at a time as
+//!   the pass reaches them.
 //!
 //! # Example
 //!
@@ -59,7 +60,7 @@ pub use asm::{disassemble, parse_asm, AsmError};
 pub use builder::ProgramBuilder;
 pub use checkpoint::{
     fast_forward, fast_forward_with, Checkpoint, CheckpointDecoder, CheckpointEncoder,
-    CodecError, FastForward, NoWarmHook, WarmHook, INTERP_VERSION,
+    CheckpointStream, CodecError, FastForward, NoWarmHook, WarmHook, INTERP_VERSION,
 };
 pub use interp::{DynInst, ExecSummary, Interp, Memory};
 pub use program::{Block, Program, ProgramError, StaticInst};
